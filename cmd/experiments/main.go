@@ -33,7 +33,7 @@
 // run store mounted over HTTP:
 //
 //	experiments -serve -http :6060 -cache-dir runs -fig 1 -csv   # coordinator
-//	experiments -serve ... -journal-dir wal                      # crash-safe: restart resumes
+//	experiments -serve ... -resume                               # restart after a crash
 //	experiments -worker http://localhost:6060                    # each worker
 //	experiments -store-gc 720h -cache-dir runs                   # prune stale entries
 //	experiments -store-gc 720h -store-gc-dry-run -cache-dir runs # preview, per-kind breakdown
@@ -115,7 +115,6 @@ func main() {
 		storeGCDry = flag.Bool("store-gc-dry-run", false, "with -store-gc: report what would be pruned without deleting")
 		storeScrub = flag.Bool("store-scrub", false, "verify every -cache-dir entry against its digest sidecar (quarantining corrupt ones) and exit")
 		storeMax   = flag.Int64("store-max-blob", 0, "per-entry byte cap on the -serve blob store's PUT bodies; oversized uploads get 413 (0 = 1 GiB default)")
-		journalDir = flag.String("journal-dir", "", "with -serve: write-ahead journal directory; restarting on the same directory resumes the sweep crash-safely")
 		soak       = flag.Int("soak", 0, "run a fault-injection soak over this many seeds per scheme instead of figures")
 		soakApp    = flag.String("soak-app", "", "pin -soak to one workload (default: rotate barnes + the five families)")
 		traceFile  = flag.String("trace-file", "", "replay a trace file (tracegen -write) through one scheme instead of figures")
@@ -255,18 +254,9 @@ func main() {
 		if *obsDir != "" {
 			fmt.Fprintln(os.Stderr, "experiments: note: dispatched runs execute on workers; -obs-dir records no per-run artifacts in -serve mode")
 		}
-		svc, err = tinydir.AttachSweepServiceCfg(suite, suite.Store, http.DefaultServeMux, tinydir.SweepServiceConfig{
-			JournalDir:   *journalDir,
+		svc = tinydir.AttachSweepServiceCfg(suite, suite.Store, http.DefaultServeMux, tinydir.SweepServiceConfig{
 			MaxBlobBytes: *storeMax,
 		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		if *journalDir != "" {
-			logger.Info("sweep journal attached",
-				telemetry.F("dir", *journalDir), telemetry.F("epoch", svc.Coord.Epoch()))
-		}
 		svc.Coord.LeaseTTL = *leaseTTL
 		svc.Coord.Log = func(format string, args ...interface{}) {
 			logger.Info(fmt.Sprintf(format, args...))

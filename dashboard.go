@@ -243,11 +243,10 @@ th { background: #f3f3f3; }
 <div id="fleetsec" style="display:none">
 <h2>Fleet</h2>
 <table id="fleetsum">
-<tr><th>Pending</th><th>Leased</th><th>Done</th><th>Failed</th><th>Total</th><th>Epoch</th></tr>
+<tr><th>Pending</th><th>Leased</th><th>Done</th><th>Failed</th><th>Total</th></tr>
 <tr><td class="num" id="fpending">-</td><td class="num" id="fleased">-</td><td class="num" id="fdone">-</td>
-<td class="num" id="ffailed">-</td><td class="num" id="ftotal">-</td><td class="num" id="fepoch">-</td></tr>
+<td class="num" id="ffailed">-</td><td class="num" id="ftotal">-</td></tr>
 </table>
-<p id="journal" class="muted"></p>
 <table id="workers"><tr><th>Worker</th><th>Active unit</th><th>Idle</th><th>Completed</th><th>Failed</th>
 <th>Mean wall</th><th>Exec p95</th><th>Cache hit%</th><th>Health</th></tr></table>
 </div>
@@ -312,14 +311,9 @@ function tick() {
     var f = st.Fleet;
     document.getElementById("fleetsec").style.display = f ? "" : "none";
     if (f) {
-      ["Pending", "Leased", "Done", "Failed", "Total", "Epoch"].forEach(function (k) {
+      ["Pending", "Leased", "Done", "Failed", "Total"].forEach(function (k) {
         document.getElementById("f" + k.toLowerCase()).textContent = f[k] || 0;
       });
-      var j = f.Journal;
-      document.getElementById("journal").textContent = j
-        ? "journal: " + j.Dir + " — " + (j.Records || 0) + " records, " + (j.Bytes || 0) +
-          " bytes, " + (j.Fsyncs || 0) + " fsyncs, " + (j.Compactions || 0) + " compactions"
-        : "journal: none (in-memory coordinator; not crash-safe)";
       setRows(document.getElementById("workers"),
         (f.Workers || []).map(function (w) {
           return [w.Name, (w.Active || "idle").slice(0, 12), ns(w.IdleFor), w.Completed, w.Failed,

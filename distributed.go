@@ -89,11 +89,6 @@ type SweepService struct {
 
 // SweepServiceConfig tunes AttachSweepServiceCfg beyond the defaults.
 type SweepServiceConfig struct {
-	// JournalDir, when set, makes the coordinator crash-safe: every unit
-	// lifecycle transition is journaled there (internal/sweepd's WAL),
-	// and a coordinator restarted on the same directory recovers its
-	// exact queue/lease/done state under a bumped fencing epoch.
-	JournalDir string
 	// MaxBlobBytes caps one blob-store entry's PUT body (0 = the
 	// protocol's 1 GiB default). Oversized uploads are refused with 413.
 	MaxBlobBytes int64
@@ -106,34 +101,23 @@ type SweepServiceConfig struct {
 // The store must be the coordinator's durable (directory) store — it
 // is both the dedup cache workers share over HTTP and the merge target
 // for returned results.
+//
+// The coordinator itself keeps no durable state. A crashed coordinator
+// is restarted over the same store with s.Resume set: dispatch answers
+// every unit already stored before it enqueues anything, so only the
+// missing units are served to the fleet again.
 func AttachSweepService(s *Suite, store *RunStore, mux *http.ServeMux) *SweepService {
-	svc, err := AttachSweepServiceCfg(s, store, mux, SweepServiceConfig{})
-	if err != nil {
-		// Unreachable without a journal dir; keep the legacy signature.
-		panic(err)
-	}
-	return svc
+	return AttachSweepServiceCfg(s, store, mux, SweepServiceConfig{})
 }
 
-// AttachSweepServiceCfg is AttachSweepService with a config: a journal
-// directory for crash-safe coordination and a blob-store PUT body cap.
-// With JournalDir set the coordinator is recovered from (or initialized
-// in) that directory — restarting the process on the same directory
-// resumes the sweep where it died, fencing the previous incarnation's
-// stale traffic by epoch.
-func AttachSweepServiceCfg(s *Suite, store *RunStore, mux *http.ServeMux, cfg SweepServiceConfig) (*SweepService, error) {
-	coord := sweepd.New()
-	if cfg.JournalDir != "" {
-		var err error
-		if coord, err = sweepd.RecoverCoordinator(cfg.JournalDir); err != nil {
-			return nil, fmt.Errorf("tinydir: sweep journal: %w", err)
-		}
-	}
-	svc := &SweepService{Coord: coord, store: store, suite: s}
+// AttachSweepServiceCfg is AttachSweepService with a config (a
+// blob-store PUT body cap).
+func AttachSweepServiceCfg(s *Suite, store *RunStore, mux *http.ServeMux, cfg SweepServiceConfig) *SweepService {
+	svc := &SweepService{Coord: sweepd.New(), store: store, suite: s}
 	mux.Handle("/sweepd/", http.StripPrefix("/sweepd", svc.Coord.Handler()))
 	mux.Handle("/store/", http.StripPrefix("/store", runstore.NewServerLimit(store.Backend(), cfg.MaxBlobBytes)))
 	s.Dispatch = svc.dispatch
-	return svc, nil
+	return svc
 }
 
 // Close shuts the coordinator down (pending dispatches unblock; workers'
@@ -273,6 +257,15 @@ func runUnit(store *RunStore, payload []byte, timeout time.Duration) (out []byte
 			err = fmt.Errorf("run panicked: %v\n%s", p, debug.Stack())
 		}
 	}()
-	r, simulated := runWithStore(o, store, true)
+	r, simulated, err := runAndStore(o, store, true)
+	if errors.Is(err, runstore.ErrDiffers) {
+		return nil, err // a collision stays loud
+	}
+	if err != nil {
+		// Only the upload failed. The result is sound, and dispatch
+		// merges it into the coordinator's store through its own
+		// PutResult, so deliver it rather than fail the unit.
+		storeWarn("worker could not store its result (%v); delivering it for the coordinator to merge", err)
+	}
 	return json.Marshal(wireResult{Result: r, Simulated: simulated})
 }

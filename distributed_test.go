@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -259,5 +261,56 @@ func TestDashboard(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("dashboard page: %d", resp.StatusCode)
+	}
+}
+
+// TestWorkerStorePutFailureStillCompletes: a worker whose PUT into the
+// coordinator's store dies in transport still delivers its finished
+// result. The coordinator's merge stores it, so the unit completes
+// instead of being failed as a crashed run.
+func TestWorkerStorePutFailureStillCompletes(t *testing.T) {
+	coord := NewSuite(ScaleTest)
+	store, err := NewRunStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	svc := AttachSweepService(coord, store, mux)
+	defer svc.Close()
+	// Every result upload from the fleet fails with a 5xx, retries
+	// included; claims, reads and checkpoints pass through.
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPut && strings.HasPrefix(r.URL.Path, "/store/results/") {
+			http.Error(w, "injected store outage", http.StatusServiceUnavailable)
+			return
+		}
+		mux.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	workerErr := make(chan error, 1)
+	go func() {
+		workerErr <- RunSweepWorker(ctx, WorkerConfig{Coordinator: srv.URL, Name: "no-put"})
+	}()
+
+	o := Options{App: App("barnes"), Scheme: SparseDirectory(2.0), Scale: ScaleTest}
+	r, simulated, err := coord.Dispatch(o)
+	if err != nil {
+		t.Fatalf("unit failed although only its upload did: %v", err)
+	}
+	if !simulated {
+		t.Fatal("unit reported as store-served; nothing was stored")
+	}
+	if want := Run(o); !reflect.DeepEqual(r, want) {
+		t.Fatal("delivered result differs from a local run")
+	}
+	if got, ok, err := store.GetResult(store.Key(normalizeOptions(o))); err != nil || !ok || !reflect.DeepEqual(got, r) {
+		t.Fatalf("coordinator merge did not store the result: ok=%v err=%v", ok, err)
+	}
+	svc.Close()
+	if err := <-workerErr; err != nil {
+		t.Fatalf("worker exit: %v", err)
 	}
 }

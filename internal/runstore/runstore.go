@@ -162,16 +162,32 @@ func (d *Dir) Put(kind, key string, data []byte, replace bool) error {
 	path := d.path(kind, key)
 	if !replace {
 		if old, err := os.ReadFile(path); err == nil {
-			if bytes.Equal(old, data) {
-				return nil
-			}
-			return fmt.Errorf("%w: key %s", ErrDiffers, key)
+			return settle(old, data, key)
 		}
 	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("runstore: %w", err)
 	}
-	return writeFileAtomic(path, data)
+	err := writeFileAtomic(path, data, replace)
+	if errors.Is(err, os.ErrExist) {
+		// A concurrent no-replace writer published first: settle against
+		// its bytes, exactly as if it had been there all along.
+		old, rerr := os.ReadFile(path)
+		if rerr != nil {
+			return fmt.Errorf("runstore: %w", rerr)
+		}
+		return settle(old, data, key)
+	}
+	return err
+}
+
+// settle is a no-replace Put's verdict against the bytes already stored:
+// identical is success, anything else is refused.
+func settle(old, data []byte, key string) error {
+	if bytes.Equal(old, data) {
+		return nil
+	}
+	return fmt.Errorf("%w: key %s", ErrDiffers, key)
 }
 
 // Stat implements Backend.
@@ -234,7 +250,12 @@ func (d *Dir) Delete(kind, key string) error {
 	return nil
 }
 
-func writeFileAtomic(path string, data []byte) error {
+// writeFileAtomic publishes data at path through a temp file, so a
+// reader never sees a torn entry. With replace the temp file is renamed
+// over any existing entry; without it the temp file is hard-linked into
+// place, which fails with os.ErrExist when another writer got there
+// first — so of several concurrent no-replace writers exactly one wins.
+func writeFileAtomic(path string, data []byte, replace bool) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("runstore: %w", err)
@@ -248,8 +269,15 @@ func writeFileAtomic(path string, data []byte) error {
 		}
 		return fmt.Errorf("runstore: %w", werr)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	publish := os.Rename
+	if !replace {
+		publish = os.Link
+	}
+	err = publish(tmp.Name(), path)
+	if err != nil || !replace {
 		os.Remove(tmp.Name())
+	}
+	if err != nil {
 		return fmt.Errorf("runstore: %w", err)
 	}
 	return nil

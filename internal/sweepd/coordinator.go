@@ -22,13 +22,11 @@
 // (HTTP 409) if not — determinism makes "same key, different result" a
 // bug, never a race to tolerate.
 //
-// Crash safety (DESIGN.md §14): a coordinator built by RecoverCoordinator
-// journals every lifecycle transition to a write-ahead log and restarts
-// into the exact state it held. Each incarnation carries a sweep *epoch*;
-// leases are granted under it and workers echo it on heartbeat/complete,
-// so a restarted coordinator fences traffic from leases granted by its
-// previous life (HTTP 412) — the worker drops the lease and re-claims
-// under the new epoch.
+// The coordinator keeps no durable state (DESIGN.md §14). Workers store
+// every result in the caller's content-addressed run store before they
+// report it, so a coordinator restarted over the same store is simply
+// handed the units still missing from it; a completion that arrives for
+// a unit it never saw answers 410 like any other lost lease.
 package sweepd
 
 import (
@@ -70,20 +68,6 @@ const (
 	stateDone
 	stateFailed
 )
-
-func (s unitState) String() string {
-	switch s {
-	case statePending:
-		return "pending"
-	case stateLeased:
-		return "leased"
-	case stateDone:
-		return "done"
-	case stateFailed:
-		return "failed"
-	}
-	return "unknown"
-}
 
 type record struct {
 	unit      Unit
@@ -138,160 +122,16 @@ type Coordinator struct {
 	closed  bool
 	closeCh chan struct{}
 	now     func() time.Time // test seam
-
-	// epoch is this incarnation's fencing token (1 for a fresh in-memory
-	// coordinator; last journaled epoch + 1 after recovery). journal is
-	// nil for a plain New() coordinator.
-	epoch   uint64
-	journal *Journal
 }
 
-// New creates an empty, in-memory (journal-less) coordinator.
+// New creates an empty coordinator.
 func New() *Coordinator {
 	return &Coordinator{
 		recs:    map[string]*record{},
 		workers: map[string]*workerInfo{},
 		closeCh: make(chan struct{}),
 		now:     time.Now,
-		epoch:   1,
 	}
-}
-
-// RecoverCoordinator opens (creating on first use) the write-ahead
-// journal in dir and rebuilds the coordinator it describes: done and
-// failed units answer Do immediately, pending units keep their queue
-// order, and leased units requeue — their leases were granted by the
-// previous incarnation, whose epoch the recovered coordinator fences.
-// Every subsequent transition is journaled, so the result is itself
-// recoverable.
-func RecoverCoordinator(dir string) (*Coordinator, error) {
-	j, st, err := openJournal(dir)
-	if err != nil {
-		return nil, err
-	}
-	c := New()
-	c.journal = j
-	c.epoch = st.epoch + 1
-
-	// Pending units in their journaled claim order, then the requeued
-	// leases in deterministic key order (their relative claim ages died
-	// with the old incarnation's clock).
-	inQueue := map[string]bool{}
-	for _, key := range st.queue {
-		inQueue[key] = true
-	}
-	var requeued []string
-	for _, key := range sortedUnitKeys(st.units) {
-		u := st.units[key]
-		r := &record{
-			unit:     Unit{Key: u.Key, Payload: u.Payload},
-			worker:   u.Worker,
-			expiries: u.Expiries,
-			done:     make(chan struct{}),
-		}
-		switch u.State {
-		case "done":
-			r.st = stateDone
-			r.result = u.Result
-			close(r.done)
-		case "failed":
-			r.st = stateFailed
-			r.errmsg = u.Err
-			close(r.done)
-		case "leased":
-			r.st = statePending
-			if !inQueue[key] {
-				requeued = append(requeued, key)
-			}
-		default:
-			r.st = statePending
-			if !inQueue[key] {
-				// A pending unit missing from the queue (snapshot damage
-				// degraded to WAL-only recovery) still has to be served.
-				requeued = append(requeued, key)
-			}
-		}
-		c.recs[key] = r
-	}
-	for _, key := range st.queue {
-		if r := c.recs[key]; r != nil && r.st == statePending {
-			c.queue = append(c.queue, key)
-		}
-	}
-	c.queue = append(c.queue, requeued...)
-
-	// The epoch bump must be durable before any lease is granted under
-	// it — otherwise a second crash could reissue an already-fenced
-	// epoch.
-	if err := j.append(journalRecord{T: "epoch", Epoch: c.epoch}); err == nil {
-		err = j.sync()
-	} else {
-		j.Close()
-		return nil, err
-	}
-	if err != nil {
-		j.Close()
-		return nil, err
-	}
-	return c, nil
-}
-
-// Epoch returns this incarnation's fencing token.
-func (c *Coordinator) Epoch() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
-}
-
-// Journal exposes the coordinator's journal (nil when in-memory).
-func (c *Coordinator) Journal() *Journal { return c.journal }
-
-// journalLocked appends one record, compacting when due. Journal damage
-// (disk full, I/O error) must not wedge a live sweep: the coordinator
-// keeps serving and logs that it is no longer crash-safe. Callers hold mu.
-func (c *Coordinator) journalLocked(rec journalRecord) {
-	if c.journal == nil {
-		return
-	}
-	if err := c.journal.append(rec); err != nil {
-		c.logf("sweepd: journal append failed (coordinator no longer crash-safe): %v", err)
-		return
-	}
-	c.tel.journalAppends.Inc()
-	if c.journal.shouldCompact() {
-		if err := c.journal.compact(c.snapshotLocked()); err != nil {
-			c.logf("sweepd: journal compaction failed: %v", err)
-		}
-	}
-}
-
-// snapshotLocked serializes the full unit state for a compacted
-// snapshot. Callers hold mu.
-func (c *Coordinator) snapshotLocked() journalState {
-	st := journalState{Epoch: c.epoch}
-	for _, key := range c.queue {
-		if r := c.recs[key]; r != nil && r.st == statePending {
-			st.Queue = append(st.Queue, key)
-		}
-	}
-	keys := make([]string, 0, len(c.recs))
-	for k := range c.recs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		r := c.recs[key]
-		st.Units = append(st.Units, journalUnit{
-			Key:      key,
-			State:    r.st.String(),
-			Payload:  r.unit.Payload,
-			Worker:   r.worker,
-			Expiries: r.expiries,
-			Result:   r.result,
-			Err:      r.errmsg,
-		})
-	}
-	return st
 }
 
 func (c *Coordinator) leaseTTL() time.Duration {
@@ -322,11 +162,6 @@ func (c *Coordinator) Close() {
 	if !c.closed {
 		c.closed = true
 		close(c.closeCh)
-		if c.journal != nil {
-			if err := c.journal.Close(); err != nil {
-				c.logf("sweepd: journal close: %v", err)
-			}
-		}
 	}
 }
 
@@ -344,7 +179,6 @@ func (c *Coordinator) Do(u Unit) ([]byte, error) {
 		r = &record{unit: u, st: statePending, done: make(chan struct{})}
 		c.recs[u.Key] = r
 		c.queue = append(c.queue, u.Key)
-		c.journalLocked(journalRecord{T: "enq", Key: u.Key, Payload: u.Payload})
 	}
 	c.mu.Unlock()
 
@@ -381,27 +215,23 @@ func (c *Coordinator) expireLocked(now time.Time) {
 			c.tel.unitFailures.Inc()
 			close(r.done)
 			c.logf("sweepd: unit %.12s FAILED: %s", key, r.errmsg)
-			c.journalLocked(journalRecord{T: "expire", Key: key, Terminal: true, Err: r.errmsg})
 			continue
 		}
 		r.st = statePending
 		c.queue = append(c.queue, key)
 		c.logf("sweepd: unit %.12s lease by %s expired, requeued", key, r.worker)
-		c.journalLocked(journalRecord{T: "expire", Key: key})
 	}
 }
 
 // claim hands the oldest pending unit to a worker, or reports no work
-// (done=false) / sweep over (over=true). rep, when non-nil, is the
-// worker's pushed self-telemetry snapshot. The returned epoch is the
-// fencing token the lease was granted under; the worker echoes it on
-// heartbeat/complete for this unit.
-func (c *Coordinator) claim(worker string, rep *WorkerReport) (u Unit, ttl time.Duration, epoch uint64, ok, over bool) {
+// (ok=false) / sweep over (over=true). rep, when non-nil, is the
+// worker's pushed self-telemetry snapshot.
+func (c *Coordinator) claim(worker string, rep *WorkerReport) (u Unit, ttl time.Duration, ok, over bool) {
 	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return Unit{}, 0, c.epoch, false, true
+		return Unit{}, 0, false, true
 	}
 	c.touchLocked(worker, now, rep)
 	c.expireLocked(now)
@@ -418,73 +248,51 @@ func (c *Coordinator) claim(worker string, rep *WorkerReport) (u Unit, ttl time.
 		r.claimedAt = now
 		c.workers[worker].Active = key
 		c.tel.claims.Inc()
-		c.journalLocked(journalRecord{T: "claim", Key: key, Worker: worker})
-		return r.unit, c.leaseTTL(), c.epoch, true, false
+		return r.unit, c.leaseTTL(), true, false
 	}
 	c.tel.claimsEmpty.Inc()
-	return Unit{}, 0, c.epoch, false, false
-}
-
-// fencedLocked reports whether a request stamped with epoch belongs to a
-// previous incarnation. Epoch 0 (a worker predating the protocol field)
-// is never fenced. Callers hold mu.
-func (c *Coordinator) fencedLocked(epoch uint64) bool {
-	if epoch == 0 || epoch == c.epoch {
-		return false
-	}
-	c.tel.epochFences.Inc()
-	return true
+	return Unit{}, 0, false, false
 }
 
 // heartbeat extends a worker's lease; reports ok=false when the lease is
-// gone (expired and requeued, completed elsewhere, or never held) and
-// fenced=true when the lease was granted by a previous incarnation.
-func (c *Coordinator) heartbeat(worker, key string, epoch uint64, rep *WorkerReport) (ttl time.Duration, ok, fenced bool) {
+// gone (expired and requeued, completed elsewhere, or never held — a
+// lease granted by a coordinator that has since been restarted).
+func (c *Coordinator) heartbeat(worker, key string, rep *WorkerReport) (ttl time.Duration, ok bool) {
 	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.touchLocked(worker, now, rep)
 	c.tel.heartbeats.Inc()
-	if c.fencedLocked(epoch) {
-		c.logf("sweepd: fencing stale-epoch heartbeat from %s for %.12s (lease epoch %d, current %d)", worker, key, epoch, c.epoch)
-		return 0, false, true
-	}
 	r := c.recs[key]
 	if r == nil || r.st != stateLeased || r.worker != worker || now.After(r.leaseExp) {
-		return 0, false, false
+		return 0, false
 	}
 	r.leaseExp = now.Add(c.leaseTTL())
-	c.journalLocked(journalRecord{T: "extend", Key: key, Worker: worker})
-	return c.leaseTTL(), true, false
+	return c.leaseTTL(), true
 }
 
-// errFencedEpoch marks a completion carried under a previous
-// incarnation's epoch; the handler maps it to HTTP 412.
-var errFencedEpoch = errors.New("sweepd: stale sweep epoch")
+// errLeaseGone answers a completion for a unit this coordinator does not
+// know — after a restart, one the store already answered. The handler
+// maps it to 410, which ends the worker's report.
+var errLeaseGone = errors.New("sweepd: lease gone (unknown unit)")
 
 // complete records a unit's outcome. Exactly-once discipline: the first
 // completion wins whatever the lease state (a worker that lost its lease
-// but finished anyway still delivers a usable, deterministic result);
-// later identical completions are acknowledged, differing ones refused.
-func (c *Coordinator) complete(worker, key string, epoch uint64, result []byte, errmsg string) error {
+// — to expiry, or to a coordinator restart — but finished anyway still
+// delivers a usable, deterministic result); later identical completions
+// are acknowledged, differing ones refused.
+func (c *Coordinator) complete(worker, key string, result []byte, errmsg string) error {
 	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.touchLocked(worker, now, nil)
-	if c.fencedLocked(epoch) {
-		// The lease predates this incarnation: refuse the completion so
-		// the unit re-runs (and store-serves) under the current epoch,
-		// keeping recovered sweeps on one coherent lease generation.
-		c.logf("sweepd: fencing stale-epoch completion from %s for %.12s (lease epoch %d, current %d)", worker, key, epoch, c.epoch)
-		return errFencedEpoch
-	}
 	w := c.workers[worker]
 	if w.Active == key {
 		w.Active = ""
 	}
 	r := c.recs[key]
 	if r == nil {
-		return fmt.Errorf("sweepd: completion for unknown unit %s", key)
+		return errLeaseGone
 	}
 	switch r.st {
 	case stateDone:
@@ -515,7 +323,6 @@ func (c *Coordinator) complete(worker, key string, epoch uint64, result []byte, 
 		w.Failed++
 		c.tel.unitFailures.Inc()
 		close(r.done)
-		c.journalLocked(journalRecord{T: "fail", Key: key, Worker: worker, Err: r.errmsg})
 		return nil
 	}
 	r.st = stateDone
@@ -524,7 +331,6 @@ func (c *Coordinator) complete(worker, key string, epoch uint64, result []byte, 
 	w.Completed++
 	c.tel.completions.Inc()
 	close(r.done)
-	c.journalLocked(journalRecord{T: "done", Key: key, Worker: worker, Result: result})
 	return nil
 }
 
@@ -574,12 +380,8 @@ type Status struct {
 	Pending, Leased, Done, Failed int
 	Total                         int
 	Closed                        bool
-	// Epoch is this incarnation's fencing token; Journal is the WAL
-	// counter block, absent for an in-memory coordinator.
-	Epoch      uint64
-	Journal    *JournalStatus `json:",omitempty"`
-	Stragglers int            `json:",omitempty"`
-	Workers    []WorkerStatus
+	Stragglers                    int `json:",omitempty"`
+	Workers                       []WorkerStatus
 	// Units carries only the non-terminal rows (pending/leased) plus
 	// failures — the interesting ones; done units are just a count.
 	Units []UnitStatus
@@ -592,11 +394,7 @@ func (c *Coordinator) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked(now)
-	st := Status{Closed: c.closed, Total: len(c.recs), Epoch: c.epoch}
-	if c.journal != nil {
-		js := c.journal.Status()
-		st.Journal = &js
-	}
+	st := Status{Closed: c.closed, Total: len(c.recs)}
 	for key, r := range c.recs {
 		switch r.st {
 		case statePending:
@@ -650,15 +448,10 @@ type claimResponse struct {
 	Key     string
 	Payload []byte
 	LeaseMs int64
-	// Epoch is the incarnation the lease was granted under; the worker
-	// echoes it on this unit's heartbeat/done requests. Zero from an old
-	// coordinator (and zero echoes are never fenced).
-	Epoch uint64 `json:",omitempty"`
 }
 
 type heartbeatRequest struct {
 	Worker, Key string
-	Epoch       uint64        `json:",omitempty"`
 	Report      *WorkerReport `json:",omitempty"`
 }
 
@@ -668,25 +461,17 @@ type heartbeatResponse struct {
 
 type doneRequest struct {
 	Worker, Key string
-	Epoch       uint64 `json:",omitempty"`
 	Result      []byte
 	Err         string
 }
 
-// epochHeader carries the coordinator's current epoch on every protocol
-// response, so a fenced worker (412) learns the incarnation to re-claim
-// under without another round trip.
-const epochHeader = "X-Sweep-Epoch"
-
 // Handler returns the coordinator's HTTP API, to be mounted under a
 // prefix (tinydir mounts it at /sweepd/):
 //
-//	POST /claim      {worker} -> 200 {key,payload,leaseMs,epoch} | 204 no work | 410 sweep over
-//	POST /heartbeat  {worker,key,epoch} -> 200 {leaseMs} | 410 lease gone | 412 stale epoch
-//	POST /done       {worker,key,epoch,result,err} -> 204 | 409 conflicting duplicate | 412 stale epoch
+//	POST /claim      {worker} -> 200 {key,payload,leaseMs} | 204 no work | 410 sweep over
+//	POST /heartbeat  {worker,key} -> 200 {leaseMs} | 410 lease gone
+//	POST /done       {worker,key,result,err} -> 204 | 409 conflicting duplicate | 410 unknown unit
 //	GET  /status     -> 200 Status JSON
-//
-// Every response carries the current epoch in X-Sweep-Epoch.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/claim", func(w http.ResponseWriter, r *http.Request) {
@@ -694,15 +479,14 @@ func (c *Coordinator) Handler() http.Handler {
 		if !decodeJSON(w, r, &req) {
 			return
 		}
-		u, ttl, epoch, ok, over := c.claim(req.Worker, req.Report)
-		w.Header().Set(epochHeader, fmt.Sprint(epoch))
+		u, ttl, ok, over := c.claim(req.Worker, req.Report)
 		switch {
 		case over:
 			http.Error(w, "sweep complete", http.StatusGone)
 		case !ok:
 			w.WriteHeader(http.StatusNoContent)
 		default:
-			writeJSON(w, claimResponse{Key: u.Key, Payload: u.Payload, LeaseMs: ttl.Milliseconds(), Epoch: epoch})
+			writeJSON(w, claimResponse{Key: u.Key, Payload: u.Payload, LeaseMs: ttl.Milliseconds()})
 		}
 	})
 	mux.HandleFunc("/heartbeat", func(w http.ResponseWriter, r *http.Request) {
@@ -710,12 +494,7 @@ func (c *Coordinator) Handler() http.Handler {
 		if !decodeJSON(w, r, &req) {
 			return
 		}
-		ttl, ok, fenced := c.heartbeat(req.Worker, req.Key, req.Epoch, req.Report)
-		w.Header().Set(epochHeader, fmt.Sprint(c.Epoch()))
-		if fenced {
-			http.Error(w, "stale sweep epoch", http.StatusPreconditionFailed)
-			return
-		}
+		ttl, ok := c.heartbeat(req.Worker, req.Key, req.Report)
 		if !ok {
 			http.Error(w, "lease gone", http.StatusGone)
 			return
@@ -727,10 +506,9 @@ func (c *Coordinator) Handler() http.Handler {
 		if !decodeJSON(w, r, &req) {
 			return
 		}
-		err := c.complete(req.Worker, req.Key, req.Epoch, req.Result, req.Err)
-		w.Header().Set(epochHeader, fmt.Sprint(c.Epoch()))
-		if errors.Is(err, errFencedEpoch) {
-			http.Error(w, err.Error(), http.StatusPreconditionFailed)
+		err := c.complete(req.Worker, req.Key, req.Result, req.Err)
+		if err == errLeaseGone {
+			http.Error(w, err.Error(), http.StatusGone)
 			return
 		}
 		if err != nil {

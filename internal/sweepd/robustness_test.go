@@ -33,7 +33,7 @@ func TestLeaseExpiryCompletionRace(t *testing.T) {
 
 	mustClaim := func(want string) {
 		t.Helper()
-		u, _, _, ok, _ := c.claim("w", nil)
+		u, _, ok, _ := c.claim("w", nil)
 		if !ok || u.Key != want {
 			t.Fatalf("claim got (%q, %v), want %q", u.Key, ok, want)
 		}
@@ -48,11 +48,11 @@ func TestLeaseExpiryCompletionRace(t *testing.T) {
 	if st := c.Status(); st.Leased != 1 {
 		t.Fatalf("lease expired at its own expiry instant: %+v", st)
 	}
-	if _, ok, _ := c.heartbeat("w", "race0", 0, nil); !ok {
+	if _, ok := c.heartbeat("w", "race0", nil); !ok {
 		t.Fatal("heartbeat refused at the expiry instant the expiry scan honors")
 	}
 	cur = cur.Add(c.LeaseTTL) // the heartbeat re-extended; land on the boundary again
-	if err := c.complete("w", "race0", 0, []byte("r0"), ""); err != nil {
+	if err := c.complete("w", "race0", []byte("r0"), ""); err != nil {
 		t.Fatal(err)
 	}
 	if r := <-ch; r.err != nil || string(r.b) != "r0" {
@@ -67,7 +67,7 @@ func TestLeaseExpiryCompletionRace(t *testing.T) {
 	ch = submitWait(t, c, Unit{Key: "race1", Payload: nil})
 	mustClaim("race1")
 	cur = cur.Add(c.LeaseTTL + time.Nanosecond)
-	if err := c.complete("w", "race1", 0, []byte("r1"), ""); err != nil {
+	if err := c.complete("w", "race1", []byte("r1"), ""); err != nil {
 		t.Fatal(err)
 	}
 	<-ch
@@ -90,7 +90,7 @@ func TestLeaseExpiryCompletionRace(t *testing.T) {
 	if n := expiries(); n != 1 {
 		t.Fatalf("expiries after scan = %d, want 1", n)
 	}
-	if err := c.complete("w", "race2", 0, []byte("r2"), ""); err != nil {
+	if err := c.complete("w", "race2", []byte("r2"), ""); err != nil {
 		t.Fatal(err)
 	}
 	if r := <-ch; r.err != nil || string(r.b) != "r2" {
@@ -98,7 +98,7 @@ func TestLeaseExpiryCompletionRace(t *testing.T) {
 	}
 	// The stale queue entry must not serve the done unit again, and the
 	// scan that skips it must not count anything.
-	if _, _, _, ok, _ := c.claim("w2", nil); ok {
+	if _, _, ok, _ := c.claim("w2", nil); ok {
 		t.Fatal("stale queue entry served a completed unit")
 	}
 	if n := expiries(); n != 1 {
@@ -124,7 +124,7 @@ func TestHeartbeatGoroutineTeardown(t *testing.T) {
 		}
 		// 30ms lease -> 10ms heartbeat interval: several heartbeats hang
 		// inside one 100ms unit.
-		json.NewEncoder(w).Encode(claimResponse{Key: "g0", LeaseMs: 30, Epoch: 1})
+		json.NewEncoder(w).Encode(claimResponse{Key: "g0", LeaseMs: 30})
 	})
 	mux.HandleFunc("/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		// Drain the body so the server arms its background connection

@@ -37,6 +37,27 @@ func submit(c *Coordinator, u Unit) chan doResult {
 	return ch
 }
 
+// submitWait submits a unit and blocks until it is actually enqueued
+// (Do runs on a goroutine; tests that claim immediately after need the
+// record to exist).
+func submitWait(t *testing.T, c *Coordinator, u Unit) chan doResult {
+	t.Helper()
+	ch := submit(c, u)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		c.mu.Lock()
+		_, ok := c.recs[u.Key]
+		c.mu.Unlock()
+		if ok {
+			return ch
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("unit %s never enqueued", u.Key)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 // TestExactlyOnceAcrossWorkers: two workers drain a queue of units; every
 // unit is executed exactly once and every Do gets its worker's result.
 func TestExactlyOnceAcrossWorkers(t *testing.T) {
@@ -341,5 +362,54 @@ func TestHeartbeatExtendsLease(t *testing.T) {
 	}
 	if n := atomic.LoadInt32(&runs); n != 1 {
 		t.Fatalf("slow unit ran %d times (lease lost despite heartbeats)", n)
+	}
+}
+
+// TestDoneForUnknownUnitIsGone: a completion for a key the coordinator
+// never saw answers 410, like any other lost lease, so the worker drops
+// the report after one attempt. After a restart under resume this is
+// the normal fate of a unit that was in flight at the kill and has
+// since been served from the store.
+func TestDoneForUnknownUnitIsGone(t *testing.T) {
+	c := New()
+	defer c.Close()
+	coord := c.Handler()
+	var claims, dones int32
+	mux := http.NewServeMux()
+	mux.HandleFunc("/claim", func(w http.ResponseWriter, r *http.Request) {
+		if atomic.AddInt32(&claims, 1) > 1 {
+			http.Error(w, "sweep complete", http.StatusGone)
+			return
+		}
+		json.NewEncoder(w).Encode(claimResponse{Key: "ghost0", LeaseMs: 30000})
+	})
+	mux.HandleFunc("/done", func(w http.ResponseWriter, r *http.Request) {
+		atomic.AddInt32(&dones, 1)
+		coord.ServeHTTP(w, r)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	body, _ := json.Marshal(doneRequest{Worker: "w", Key: "never-submitted", Result: []byte("r")})
+	resp, err := http.Post(srv.URL+"/done", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGone {
+		t.Fatalf("done for unknown unit: status %d, want 410", resp.StatusCode)
+	}
+
+	w := &Worker{
+		Base: srv.URL, Name: "w", Poll: 5 * time.Millisecond,
+		Run: func(key string, payload []byte) ([]byte, error) { return []byte("r"), nil },
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := w.Loop(ctx); err != nil {
+		t.Fatalf("worker loop: %v", err)
+	}
+	if n := atomic.LoadInt32(&dones); n != 2 {
+		t.Fatalf("worker posted the unknown unit's completion %d times, want 1", n-1)
 	}
 }

@@ -30,17 +30,15 @@ const DefaultStragglerFactor = 3.0
 // coordMetrics is the coordinator's instrument set; all fields are
 // nil-safe telemetry handles, so the zero value is "telemetry off".
 type coordMetrics struct {
-	claims         *telemetry.Counter
-	claimsEmpty    *telemetry.Counter
-	heartbeats     *telemetry.Counter
-	completions    *telemetry.Counter
-	dupIdentical   *telemetry.Counter
-	conflicts      *telemetry.Counter
-	leaseExpiries  *telemetry.Counter
-	unitFailures   *telemetry.Counter
-	unitWallMS     *telemetry.Hist
-	epochFences    *telemetry.Counter
-	journalAppends *telemetry.Counter
+	claims        *telemetry.Counter
+	claimsEmpty   *telemetry.Counter
+	heartbeats    *telemetry.Counter
+	completions   *telemetry.Counter
+	dupIdentical  *telemetry.Counter
+	conflicts     *telemetry.Counter
+	leaseExpiries *telemetry.Counter
+	unitFailures  *telemetry.Counter
+	unitWallMS    *telemetry.Hist
 }
 
 // EnableMetrics registers the coordinator's series on reg: the counters
@@ -52,34 +50,15 @@ func (c *Coordinator) EnableMetrics(reg *telemetry.Registry) {
 		return
 	}
 	c.tel = coordMetrics{
-		claims:         reg.Counter("sweepd_claims_total", "work-unit claims granted"),
-		claimsEmpty:    reg.Counter("sweepd_claims_empty_total", "claims answered with no work available"),
-		heartbeats:     reg.Counter("sweepd_heartbeats_total", "lease heartbeats accepted"),
-		completions:    reg.Counter("sweepd_completions_total", "units completed successfully"),
-		dupIdentical:   reg.Counter("sweepd_duplicates_identical_total", "byte-identical duplicate completions acknowledged"),
-		conflicts:      reg.Counter("sweepd_conflicts_total", "differing duplicate completions refused (ErrDiffers/409)"),
-		leaseExpiries:  reg.Counter("sweepd_lease_expiries_total", "leases lapsed and requeued (or failed terminally)"),
-		unitFailures:   reg.Counter("sweepd_unit_failures_total", "units failed terminally (worker-reported or max expiries)"),
-		unitWallMS:     reg.Hist("sweepd_unit_wall_ms", "wall-clock milliseconds from claim to completion"),
-		epochFences:    reg.Counter("sweepd_epoch_fences_total", "stale-epoch heartbeats/completions fenced (HTTP 412)"),
-		journalAppends: reg.Counter("sweepd_journal_appends_total", "lifecycle records appended to the write-ahead journal"),
-	}
-	reg.GaugeFunc("sweepd_epoch", "this coordinator incarnation's fencing token", func() float64 {
-		return float64(c.Epoch())
-	})
-	if j := c.journal; j != nil {
-		reg.CounterFunc("sweepd_journal_records_total", "records written to the WAL this incarnation", func() uint64 {
-			return j.Status().Records
-		})
-		reg.CounterFunc("sweepd_journal_bytes_total", "bytes framed onto the WAL this incarnation", func() uint64 {
-			return j.Status().Bytes
-		})
-		reg.CounterFunc("sweepd_journal_fsyncs_total", "group-commit fsyncs of the WAL", func() uint64 {
-			return j.Status().Fsyncs
-		})
-		reg.CounterFunc("sweepd_journal_compactions_total", "snapshot compactions (WAL truncations)", func() uint64 {
-			return j.Status().Compactions
-		})
+		claims:        reg.Counter("sweepd_claims_total", "work-unit claims granted"),
+		claimsEmpty:   reg.Counter("sweepd_claims_empty_total", "claims answered with no work available"),
+		heartbeats:    reg.Counter("sweepd_heartbeats_total", "lease heartbeats accepted"),
+		completions:   reg.Counter("sweepd_completions_total", "units completed successfully"),
+		dupIdentical:  reg.Counter("sweepd_duplicates_identical_total", "byte-identical duplicate completions acknowledged"),
+		conflicts:     reg.Counter("sweepd_conflicts_total", "differing duplicate completions refused (ErrDiffers/409)"),
+		leaseExpiries: reg.Counter("sweepd_lease_expiries_total", "leases lapsed and requeued (or failed terminally)"),
+		unitFailures:  reg.Counter("sweepd_unit_failures_total", "units failed terminally (worker-reported or max expiries)"),
+		unitWallMS:    reg.Hist("sweepd_unit_wall_ms", "wall-clock milliseconds from claim to completion"),
 	}
 	count := func(st unitState) func() float64 {
 		return func() float64 {

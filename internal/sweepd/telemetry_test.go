@@ -46,27 +46,27 @@ func TestCoordinatorMetrics(t *testing.T) {
 	enqueue(c, "k2")
 
 	// k1: claim, heartbeat, complete after 500ms.
-	if _, _, _, ok, _ := c.claim("w1", nil); !ok {
+	if _, _, ok, _ := c.claim("w1", nil); !ok {
 		t.Fatal("claim k1")
 	}
 	clk.Advance(200 * time.Millisecond)
-	if _, ok, _ := c.heartbeat("w1", "k1", 0, nil); !ok {
+	if _, ok := c.heartbeat("w1", "k1", nil); !ok {
 		t.Fatal("heartbeat k1")
 	}
 	clk.Advance(300 * time.Millisecond)
-	if err := c.complete("w1", "k1", 0, []byte("r1"), ""); err != nil {
+	if err := c.complete("w1", "k1", []byte("r1"), ""); err != nil {
 		t.Fatal(err)
 	}
 	// Duplicate identical, then conflicting.
-	if err := c.complete("w2", "k1", 0, []byte("r1"), ""); err != nil {
+	if err := c.complete("w2", "k1", []byte("r1"), ""); err != nil {
 		t.Fatal("identical duplicate refused:", err)
 	}
-	if err := c.complete("w2", "k1", 0, []byte("DIFFERENT"), ""); err == nil {
+	if err := c.complete("w2", "k1", []byte("DIFFERENT"), ""); err == nil {
 		t.Fatal("conflicting duplicate accepted")
 	}
 	// k2: claimed by w2, lease lapses twice -> terminal failure (MaxExpiries=2).
 	for i := 0; i < 2; i++ {
-		if u, _, _, ok, _ := c.claim("w2", nil); !ok || u.Key != "k2" {
+		if u, _, ok, _ := c.claim("w2", nil); !ok || u.Key != "k2" {
 			t.Fatalf("claim k2 round %d: ok=%v key=%q", i, ok, u.Key)
 		}
 		clk.Advance(11 * time.Second)
@@ -75,10 +75,10 @@ func TestCoordinatorMetrics(t *testing.T) {
 	// k3 arrives late; w3 claims it (leaving the queue empty), then one
 	// empty claim.
 	enqueue(c, "k3")
-	if u, _, _, ok, _ := c.claim("w3", nil); !ok || u.Key != "k3" {
+	if u, _, ok, _ := c.claim("w3", nil); !ok || u.Key != "k3" {
 		t.Fatalf("claim k3: ok=%v key=%q", ok, u.Key)
 	}
-	if _, _, _, ok, _ := c.claim("w3", nil); ok {
+	if _, _, ok, _ := c.claim("w3", nil); ok {
 		t.Fatal("claim on empty queue succeeded")
 	}
 
@@ -138,11 +138,11 @@ func TestStragglerAndStaleDetection(t *testing.T) {
 			key := fmt.Sprintf("u%d", i)
 			i++
 			enqueue(c, key)
-			if u, _, _, ok, _ := c.claim(worker, nil); !ok || u.Key != key {
+			if u, _, ok, _ := c.claim(worker, nil); !ok || u.Key != key {
 				t.Fatalf("%s claim %s", worker, key)
 			}
 			clk.Advance(wall)
-			if err := c.complete(worker, key, 0, []byte("r"), ""); err != nil {
+			if err := c.complete(worker, key, []byte("r"), ""); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -185,7 +185,7 @@ func TestStragglerNeedsAFleet(t *testing.T) {
 	enqueue(c, "k")
 	c.claim("only", nil)
 	clk.Advance(10 * time.Second)
-	c.complete("only", "k", 0, []byte("r"), "")
+	c.complete("only", "k", []byte("r"), "")
 	if st := c.Status(); st.Stragglers != 0 || st.Workers[0].Straggler {
 		t.Fatalf("lone worker flagged: %+v", st.Workers)
 	}
@@ -344,7 +344,7 @@ func TestCoordinatorOffAllocSteadyState(t *testing.T) {
 	enqueue(c, "k")
 	c.claim("w", nil)
 	allocs := testing.AllocsPerRun(500, func() {
-		if _, ok, _ := c.heartbeat("w", "k", 0, nil); !ok {
+		if _, ok := c.heartbeat("w", "k", nil); !ok {
 			t.Fatal("lease lost")
 		}
 	})
@@ -377,6 +377,6 @@ func benchClaimComplete(b *testing.B, withMetrics bool) {
 		key := fmt.Sprintf("k%d", i)
 		enqueue(c, key)
 		c.claim("w", nil)
-		c.complete("w", key, 0, nil, "")
+		c.complete("w", key, nil, "")
 	}
 }

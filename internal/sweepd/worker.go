@@ -52,10 +52,6 @@ type Worker struct {
 	HC *http.Client
 
 	units uint64 // completed unit count (atomic)
-	// epoch is the last coordinator incarnation observed (via claim
-	// responses); only the Loop goroutine touches it, and only for
-	// logging restarts — fencing echoes each lease's own epoch.
-	epoch uint64
 }
 
 func (w *Worker) poll() time.Duration {
@@ -209,8 +205,8 @@ func (w *Worker) process(ctx context.Context, cl claimResponse) {
 	postStart := time.Now()
 	var derr error
 	for attempt := 1; ; attempt++ {
-		derr = w.post(repCtx, "/done", doneRequest{Worker: w.Name, Key: cl.Key, Epoch: cl.Epoch, Result: result, Err: errmsg}, nil)
-		if derr == nil || derr == errGone || derr == errFenced || attempt >= reportAttempts {
+		derr = w.post(repCtx, "/done", doneRequest{Worker: w.Name, Key: cl.Key, Result: result, Err: errmsg}, nil)
+		if derr == nil || derr == errGone || attempt >= reportAttempts {
 			break
 		}
 		w.Logger.Warn("done report failed, retrying",
@@ -225,21 +221,19 @@ func (w *Worker) process(ctx context.Context, cl claimResponse) {
 	}
 	switch derr {
 	case nil:
-	case errFenced:
-		// The coordinator restarted since this lease was granted; the
-		// unit re-runs under the new epoch (and is served from the run
-		// store, so nothing is recomputed).
-		w.logf("worker %s: completion of %.12s fenced (coordinator restarted); unit re-claims under new epoch", w.Name, cl.Key)
+	case errGone:
+		// The coordinator does not know the unit: it restarted since the
+		// lease was granted and already had the result from the store.
+		w.logf("worker %s: completion of %.12s not needed (coordinator restarted)", w.Name, cl.Key)
 	default:
 		w.logf("worker %s: reporting %.12s: %v", w.Name, cl.Key, derr)
 	}
 }
 
 // heartbeatLoop extends the lease at a third of its TTL until the unit
-// finishes (ctx cancelled), the lease is gone, or the coordinator
-// restarted (epoch fence). Requests are bound to ctx, so tearing the
-// loop down also aborts an in-flight heartbeat — no goroutine or
-// connection outlives the unit.
+// finishes (ctx cancelled) or the lease is gone. Requests are bound to
+// ctx, so tearing the loop down also aborts an in-flight heartbeat — no
+// goroutine or connection outlives the unit.
 func (w *Worker) heartbeatLoop(ctx context.Context, cl claimResponse) {
 	interval := time.Duration(cl.LeaseMs) * time.Millisecond / 3
 	if interval <= 0 {
@@ -250,22 +244,14 @@ func (w *Worker) heartbeatLoop(ctx context.Context, cl claimResponse) {
 			return
 		}
 		var resp heartbeatResponse
-		err := w.post(ctx, "/heartbeat", heartbeatRequest{Worker: w.Name, Key: cl.Key, Epoch: cl.Epoch, Report: w.Tel.Report()}, &resp)
+		err := w.post(ctx, "/heartbeat", heartbeatRequest{Worker: w.Name, Key: cl.Key, Report: w.Tel.Report()}, &resp)
 		switch {
 		case err == errGone:
-			// Lease lost (expired or completed elsewhere). The unit
-			// cannot be aborted mid-simulation; finish and let the
-			// idempotent completion sort it out.
+			// Lease lost (expired, completed elsewhere, or granted by a
+			// coordinator that has since restarted). The unit cannot be
+			// aborted mid-simulation; finish and let the idempotent
+			// completion sort it out.
 			w.logf("worker %s: lease on %.12s lost", w.Name, cl.Key)
-			return
-		case err == errFenced:
-			// Coordinator restarted: this lease belongs to its previous
-			// incarnation. Drop it — the recovered coordinator already
-			// requeued the unit — and let the run finish for the store's
-			// benefit; the completion will fence too, harmlessly.
-			w.logf("worker %s: lease on %.12s fenced by coordinator epoch bump", w.Name, cl.Key)
-			w.Logger.Info("lease fenced by epoch bump",
-				telemetry.F("worker", w.Name), telemetry.F("unit", cl.Key), telemetry.F("lease_epoch", cl.Epoch))
 			return
 		case err != nil && ctx.Err() != nil:
 			return // torn down mid-request; not a heartbeat failure
@@ -288,14 +274,6 @@ func (w *Worker) claim(ctx context.Context) (cl claimResponse, status int, err e
 	if w.Tel != nil {
 		observeUS(w.Tel.claim, time.Since(start))
 	}
-	if status == http.StatusOK && cl.Epoch != 0 && cl.Epoch != w.epoch {
-		if w.epoch != 0 {
-			w.logf("worker %s: coordinator epoch %d -> %d (restart observed)", w.Name, w.epoch, cl.Epoch)
-			w.Logger.Info("coordinator epoch bump observed",
-				telemetry.F("worker", w.Name), telemetry.F("from", w.epoch), telemetry.F("to", cl.Epoch))
-		}
-		w.epoch = cl.Epoch
-	}
 	switch status {
 	case http.StatusOK, http.StatusNoContent, http.StatusGone:
 		return cl, status, nil
@@ -303,13 +281,10 @@ func (w *Worker) claim(ctx context.Context) (cl claimResponse, status int, err e
 	return claimResponse{}, 0, fmt.Errorf("sweepd: claim: unexpected status %d", status)
 }
 
-var (
-	errGone   = fmt.Errorf("sweepd: gone")
-	errFenced = fmt.Errorf("sweepd: stale epoch fenced")
-)
+var errGone = fmt.Errorf("sweepd: gone")
 
-// post sends one JSON request; 410 maps to errGone, 412 to errFenced,
-// other non-2xx to errors. resp may be nil.
+// post sends one JSON request; 410 maps to errGone, other non-2xx to
+// errors. resp may be nil.
 func (w *Worker) post(ctx context.Context, path string, req interface{}, resp interface{}) error {
 	status, err := w.postStatus(ctx, path, req, resp)
 	if err != nil {
@@ -318,8 +293,6 @@ func (w *Worker) post(ctx context.Context, path string, req interface{}, resp in
 	switch {
 	case status == http.StatusGone:
 		return errGone
-	case status == http.StatusPreconditionFailed:
-		return errFenced
 	case status >= 300:
 		return fmt.Errorf("sweepd: POST %s: status %d", path, status)
 	}

@@ -198,7 +198,7 @@ func (s *RunStore) PutResult(key string, r Result) error {
 	if gerr == nil && ok {
 		var stale Result
 		if json.Unmarshal(old, &stale) == nil && !bytes.Equal(old, data) {
-			return fmt.Errorf("runstore: refusing to overwrite %s: stored result differs from the new run (key collision or nondeterministic simulation)", key)
+			return fmt.Errorf("runstore: refusing to overwrite %s: stored result differs from the new run (key collision or nondeterministic simulation): %w", key, runstore.ErrDiffers)
 		}
 	}
 	storeWarn("replacing corrupt result %s", key)
@@ -347,14 +347,26 @@ func RunWithStore(o Options, store *RunStore, resume bool) Result {
 
 // runWithStore additionally reports whether it simulated (false when a
 // stored result was served verbatim), so callers can count real work.
+// A result the store refuses to keep fails the run like a crash.
 func runWithStore(o Options, store *RunStore, resume bool) (Result, bool) {
+	r, simulated, err := runAndStore(o, store, resume)
+	if err != nil {
+		panic(err)
+	}
+	return r, simulated
+}
+
+// runAndStore is runWithStore that hands back the store's refusal of a
+// finished result instead of panicking on it, so a fleet worker can
+// still deliver a result whose upload failed.
+func runAndStore(o Options, store *RunStore, resume bool) (Result, bool, error) {
 	o = normalizeOptions(o)
 	var key string
 	if store != nil {
 		key = store.Key(o)
 		if resume {
 			if r, ok, err := store.GetResult(key); err == nil && ok {
-				return r, false
+				return r, false, nil
 			}
 		}
 	}
@@ -395,10 +407,10 @@ func runWithStore(o Options, store *RunStore, resume bool) (Result, bool) {
 	res := Result{App: o.App.Name, Scheme: o.Scheme.String(), Cores: o.Scale.machine().Cores, Metrics: m}
 	if store != nil {
 		if err := store.PutResult(key, res); err != nil {
-			panic(err)
+			return res, true, err
 		}
 	}
-	return res, true
+	return res, true, nil
 }
 
 // runCheckpointed is the store-backed simulation path: restore from the
