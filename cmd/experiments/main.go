@@ -263,6 +263,7 @@ func main() {
 		}
 		svc.EnableTelemetry(reg)
 	}
+	var httpSrv *http.Server
 	if *httpAddr != "" {
 		// Bind before planning anything so a taken port fails the sweep
 		// up front instead of from an unmonitored goroutine minutes in.
@@ -279,10 +280,11 @@ func main() {
 			dash.Fleet = func() interface{} { return svc.Coord.Status() }
 		}
 		dash.Register(http.DefaultServeMux)
+		// DefaultServeMux already carries expvar's /debug/vars and
+		// pprof's /debug/pprof from their imports.
+		httpSrv = &http.Server{}
 		go func() {
-			// DefaultServeMux already carries expvar's /debug/vars and
-			// pprof's /debug/pprof from their imports.
-			if err := http.Serve(ln, nil); err != nil {
+			if err := httpSrv.Serve(ln); err != http.ErrServerClosed {
 				fmt.Fprintln(os.Stderr, "experiments: http:", err)
 			}
 		}()
@@ -329,11 +331,18 @@ func main() {
 		emit(f, *csvOut)
 	}
 	if svc != nil {
-		// Sweep over: the next claim from each worker answers 410 and the
-		// worker exits. Give pollers a moment to hear it before the
-		// listener dies with the process.
+		// Sweep over: parked claims and the next claim of every live
+		// worker answer 410 and the workers exit. Keep the listener up
+		// until they have all heard it (capped), then let in-flight
+		// requests finish.
 		svc.Close()
-		time.Sleep(1500 * time.Millisecond)
+		st := suite.Monitor().Snapshot()
+		logger.Info("sweep complete", telemetry.F("planned", st.Planned), telemetry.F("done", st.Done),
+			telemetry.F("served", st.Served), telemetry.F("failed", st.Failed))
+		ctx, cancel := context.WithTimeout(context.Background(), 1500*time.Millisecond)
+		svc.Coord.Drain(ctx)
+		httpSrv.Shutdown(ctx)
+		cancel()
 	}
 	fmt.Fprintf(os.Stderr, "experiments: %d simulations in %s\n", suite.Runs(), time.Since(start).Round(time.Second))
 	if suite.ReportFailures() > 0 {

@@ -22,6 +22,7 @@ package runstore
 // verification for them (a digest has no digest).
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -187,19 +188,36 @@ func short(d string) string {
 }
 
 // Put implements Backend: store the bytes, then their digest. A digest
-// write failure leaves the entry TOFU-backfillable, not broken.
+// write failure leaves the entry TOFU-backfillable, not broken. A
+// sidecar that already holds the digest is left alone, as is a derived
+// entry replaced by identical bytes (a remote Verified sending the
+// sidecar this layer just wrote): re-creating a file costs far more
+// than reading it.
 func (v *Verified) Put(kind, key string, data []byte, replace bool) error {
+	if derivedKind(kind) {
+		if replace {
+			return v.putChanged(kind, key, data)
+		}
+		return v.inner.Put(kind, key, data, false)
+	}
 	if err := v.inner.Put(kind, key, data, replace); err != nil {
 		return err
 	}
-	if derivedKind(kind) {
-		return nil
-	}
-	if err := v.inner.Put(DigestKind(kind), key, []byte(Digest(data)), true); err != nil {
+	if err := v.putChanged(DigestKind(kind), key, []byte(Digest(data))); err != nil {
 		v.digestErrs.Add(1)
 		v.warnf("digest write for %s %s failed: %v", kind, key, err)
 	}
 	return nil
+}
+
+// putChanged stores data under (kind, key), replacing what is there,
+// unless the entry already holds exactly data. An unreadable entry is
+// written over.
+func (v *Verified) putChanged(kind, key string, data []byte) error {
+	if old, ok, err := v.inner.Get(kind, key); err == nil && ok && bytes.Equal(old, data) {
+		return nil
+	}
+	return v.inner.Put(kind, key, data, true)
 }
 
 // Stat implements Backend.

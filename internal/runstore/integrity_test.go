@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -362,5 +363,103 @@ func TestVerifiedOverHTTPQuarantine(t *testing.T) {
 	}
 	if _, ok, _ := inner.Get(KindResults, key); ok {
 		t.Fatal("corrupt entry still on the server")
+	}
+}
+
+// countingBackend counts the Puts that reach its inner backend, per
+// kind.
+type countingBackend struct {
+	Backend
+	mu   sync.Mutex
+	puts map[string]int
+}
+
+func (c *countingBackend) Put(kind, key string, data []byte, replace bool) error {
+	c.mu.Lock()
+	if c.puts == nil {
+		c.puts = map[string]int{}
+	}
+	c.puts[kind]++
+	c.mu.Unlock()
+	return c.Backend.Put(kind, key, data, replace)
+}
+
+func (c *countingBackend) count(kind string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.puts[kind]
+}
+
+// TestVerifiedSkipsIdenticalSidecar: a sidecar that already holds the
+// digest is not written again — neither by an idempotent re-Put nor by
+// a remote Verified sending the sidecar over HTTP — while a replaced
+// entry still gets its new digest and a sidecar-less entry still gets
+// one (TOFU).
+func TestVerifiedSkipsIdenticalSidecar(t *testing.T) {
+	dir, err := NewDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := &countingBackend{Backend: dir}
+	v := NewVerified(inner)
+	dk := DigestKind(KindResults)
+	sidecar := func(key string) string {
+		t.Helper()
+		d, ok, err := dir.Get(dk, key)
+		if err != nil || !ok {
+			t.Fatalf("no sidecar for %s: ok=%v err=%v", key, ok, err)
+		}
+		return string(d)
+	}
+	data := []byte(`{"cycles":1}`)
+
+	if err := v.Put(KindResults, "k1", data, false); err != nil {
+		t.Fatal(err)
+	}
+	if n := inner.count(dk); n != 1 {
+		t.Fatalf("first Put wrote the sidecar %d times, want 1", n)
+	}
+	if err := v.Put(KindResults, "k1", data, false); err != nil {
+		t.Fatal(err)
+	}
+	if n := inner.count(dk); n != 1 {
+		t.Fatalf("identical re-Put rewrote the sidecar (%d writes)", n)
+	}
+
+	// Over the wire: the server's Verified writes the sidecar with the
+	// data; the client's duplicate sidecar PUT, and a client-side
+	// Verified's whole Put, write nothing more.
+	srv := httptest.NewServer(NewServer(v))
+	defer srv.Close()
+	client := NewClient(srv.URL)
+	if err := client.Put(dk, "k1", []byte(Digest(data)), true); err != nil {
+		t.Fatal(err)
+	}
+	if n := inner.count(dk); n != 1 {
+		t.Fatalf("identical sidecar PUT over HTTP rewrote it (%d writes)", n)
+	}
+	if err := NewVerified(client).Put(KindResults, "k2", data, false); err != nil {
+		t.Fatal(err)
+	}
+	if n := inner.count(dk); n != 2 {
+		t.Fatalf("remote Verified Put wrote %d sidecars, want 1 more", n-1)
+	}
+
+	// Still written: a replace of different bytes, and a missing sidecar.
+	changed := []byte(`{"cycles":2}`)
+	if err := v.Put(KindResults, "k1", changed, true); err != nil {
+		t.Fatal(err)
+	}
+	if n, d := inner.count(dk), sidecar("k1"); n != 3 || d != Digest(changed) {
+		t.Fatalf("replace Put: %d sidecar writes, sidecar %.12s; want 3 and the new digest", n, d)
+	}
+	if err := dir.Put(KindResults, "k3", data, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Put(KindResults, "k3", data, false); err != nil {
+		t.Fatal(err)
+	}
+	if n, d := inner.count(dk), sidecar("k3"); n != 4 || d != Digest(data) {
+		t.Fatalf("TOFU Put: %d sidecar writes, sidecar %.12s; want 4 and the digest", n, d)
 	}
 }

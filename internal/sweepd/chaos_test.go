@@ -199,9 +199,8 @@ func runChaosSweep(t *testing.T, seed uint64) {
 	mkWorker := func(name string) *Worker {
 		return &Worker{
 			Base: proxy.URL(), Name: name,
-			Poll:       5 * time.Millisecond,
 			MaxErrors:  1000, // chaos-dense runs must never give up
-			BackoffMax: 50 * time.Millisecond,
+			BackoffMax: 10 * time.Millisecond,
 			Run: func(key string, payload []byte) ([]byte, error) {
 				time.Sleep(10 * time.Millisecond)
 				result := "result-of-" + key[4:]
@@ -333,7 +332,7 @@ func TestWorkerRidesCoordinatorRestart(t *testing.T) {
 	release := make(chan struct{})
 	var runs int32
 	w := &Worker{
-		Base: proxy.URL(), Name: "rider", Poll: 10 * time.Millisecond,
+		Base: proxy.URL(), Name: "rider", BackoffMax: 20 * time.Millisecond,
 		Run: func(key string, payload []byte) ([]byte, error) {
 			atomic.AddInt32(&runs, 1)
 			<-release // hold the unit across the coordinator swap

@@ -22,6 +22,13 @@
 // (HTTP 409) if not — determinism makes "same key, different result" a
 // bug, never a race to tolerate.
 //
+// Claims are long polls. A claim that finds no pending unit is held
+// open until the coordinator has something to say — a unit is
+// submitted or requeued, the earliest lease lapses, or the coordinator
+// closes — and answers "no work" only after LeaseTTL/3, the heartbeat
+// cadence. An idle worker therefore re-claims at once, costs one
+// request per TTL/3, and is still heard from as often as a busy one.
+//
 // The coordinator keeps no durable state (DESIGN.md §14). Workers store
 // every result in the caller's content-addressed run store before they
 // report it, so a coordinator restarted over the same store is simply
@@ -30,6 +37,7 @@
 package sweepd
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -88,6 +96,8 @@ type workerInfo struct {
 	Active    string // key of the currently leased unit ("" when idle)
 	Completed int
 	Failed    int
+	// toldOver: a claim answered this worker 410 after Close.
+	toldOver bool
 
 	// UnitWallSum/UnitsWalled accumulate claim-to-completion wall clock
 	// for this worker's units; their ratio feeds the straggler detector.
@@ -121,8 +131,25 @@ type Coordinator struct {
 	workers map[string]*workerInfo
 	closed  bool
 	closeCh chan struct{}
-	now     func() time.Time // test seam
+	// wake is closed (and cleared) whenever a unit becomes pending or a
+	// worker is told the sweep is over, releasing every parked claim
+	// and Drain; nil while nobody waits.
+	wake  chan struct{}
+	clock clock // test seam
 }
+
+// clock is the coordinator's time source. Lease instants and the hold
+// of a parked claim both go through it, so a test can drive them by
+// hand instead of waiting them out.
+type clock interface {
+	Now() time.Time
+	After(d time.Duration) <-chan time.Time
+}
+
+type wallClock struct{}
+
+func (wallClock) Now() time.Time                         { return time.Now() }
+func (wallClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // New creates an empty coordinator.
 func New() *Coordinator {
@@ -130,7 +157,7 @@ func New() *Coordinator {
 		recs:    map[string]*record{},
 		workers: map[string]*workerInfo{},
 		closeCh: make(chan struct{}),
-		now:     time.Now,
+		clock:   wallClock{},
 	}
 }
 
@@ -155,13 +182,62 @@ func (c *Coordinator) logf(format string, args ...interface{}) {
 }
 
 // Close shuts the coordinator down: pending Do calls return ErrClosed,
-// workers' next claim tells them the sweep is over. Idempotent.
+// parked claims and every later one tell their worker the sweep is
+// over (410). Idempotent.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.closed {
 		c.closed = true
 		close(c.closeCh)
+	}
+}
+
+// Drain waits, after Close, until every live worker — one heard from
+// within a lease TTL — has been answered 410, or ctx ends. A server
+// that shuts its listener only after Drain lets a worker that was
+// between two requests at Close hear the sweep is over instead of
+// backing off against a dead address.
+func (c *Coordinator) Drain(ctx context.Context) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for {
+		now := c.clock.Now()
+		live := false
+		for _, w := range c.workers {
+			if !w.toldOver && now.Sub(w.LastSeen) <= c.leaseTTL() {
+				live = true
+			}
+		}
+		if !live {
+			return nil
+		}
+		wake := c.wakeChLocked()
+		c.mu.Unlock()
+		select {
+		case <-wake:
+		case <-ctx.Done():
+		}
+		c.mu.Lock()
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+	}
+}
+
+// wakeChLocked returns the channel the next wakeLocked closes.
+func (c *Coordinator) wakeChLocked() chan struct{} {
+	if c.wake == nil {
+		c.wake = make(chan struct{})
+	}
+	return c.wake
+}
+
+// wakeLocked releases every parked claim (and Drain) to look again.
+func (c *Coordinator) wakeLocked() {
+	if c.wake != nil {
+		close(c.wake)
+		c.wake = nil
 	}
 }
 
@@ -179,6 +255,7 @@ func (c *Coordinator) Do(u Unit) ([]byte, error) {
 		r = &record{unit: u, st: statePending, done: make(chan struct{})}
 		c.recs[u.Key] = r
 		c.queue = append(c.queue, u.Key)
+		c.wakeLocked()
 	}
 	c.mu.Unlock()
 
@@ -198,10 +275,18 @@ func (c *Coordinator) Do(u Unit) ([]byte, error) {
 // expireLocked requeues leased units whose lease lapsed. A lease is
 // valid *through* its expiry instant — the same boundary heartbeat uses
 // — so a unit completing in the tick its lease would lapse is accepted
-// exactly once and never also counted as an expiry. Callers hold mu.
-func (c *Coordinator) expireLocked(now time.Time) {
+// exactly once and never also counted as an expiry. It returns the
+// earliest expiry instant of the leases still held (zero if none).
+// Callers hold mu.
+func (c *Coordinator) expireLocked(now time.Time) (next time.Time) {
 	for key, r := range c.recs {
-		if r.st != stateLeased || !now.After(r.leaseExp) {
+		if r.st != stateLeased {
+			continue
+		}
+		if !now.After(r.leaseExp) {
+			if next.IsZero() || r.leaseExp.Before(next) {
+				next = r.leaseExp
+			}
 			continue
 		}
 		r.expiries++
@@ -219,22 +304,61 @@ func (c *Coordinator) expireLocked(now time.Time) {
 		}
 		r.st = statePending
 		c.queue = append(c.queue, key)
+		c.wakeLocked()
 		c.logf("sweepd: unit %.12s lease by %s expired, requeued", key, r.worker)
+	}
+	return next
+}
+
+// claim hands the oldest pending unit to a worker. With none pending it
+// parks until a unit is submitted or requeued, the earliest lease
+// lapses, the coordinator closes (over=true) or ctx ends, and reports
+// no work (ok=false) once it has held for LeaseTTL/3. rep, when
+// non-nil, is the worker's pushed self-telemetry snapshot.
+func (c *Coordinator) claim(ctx context.Context, worker string, rep *WorkerReport) (u Unit, ttl time.Duration, ok, over bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	deadline := c.clock.Now().Add(c.leaseTTL() / 3)
+	for {
+		now := c.clock.Now()
+		if c.closed {
+			if w := c.workers[worker]; w != nil && !w.toldOver {
+				w.toldOver = true
+				c.wakeLocked() // Drain counts the workers still to hear it
+			}
+			return Unit{}, 0, false, true
+		}
+		c.touchLocked(worker, now, rep)
+		next := c.expireLocked(now)
+		if u, ok := c.leaseLocked(worker, now); ok {
+			return u, c.leaseTTL(), true, false
+		}
+		wait := deadline.Sub(now)
+		if wait <= 0 {
+			c.tel.claimsEmpty.Inc()
+			return Unit{}, 0, false, false
+		}
+		if !next.IsZero() && next.Sub(now) < wait {
+			// A lease is valid through its expiry instant; wake just after.
+			wait = next.Sub(now) + time.Nanosecond
+		}
+		wake := c.wakeChLocked()
+		c.mu.Unlock()
+		select {
+		case <-wake:
+		case <-c.closeCh:
+		case <-ctx.Done():
+		case <-c.clock.After(wait):
+		}
+		c.mu.Lock()
+		if ctx.Err() != nil {
+			return Unit{}, 0, false, false // nobody left to answer
+		}
 	}
 }
 
-// claim hands the oldest pending unit to a worker, or reports no work
-// (ok=false) / sweep over (over=true). rep, when non-nil, is the
-// worker's pushed self-telemetry snapshot.
-func (c *Coordinator) claim(worker string, rep *WorkerReport) (u Unit, ttl time.Duration, ok, over bool) {
-	now := c.now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return Unit{}, 0, false, true
-	}
-	c.touchLocked(worker, now, rep)
-	c.expireLocked(now)
+// leaseLocked grants the oldest pending unit to worker. Callers hold mu.
+func (c *Coordinator) leaseLocked(worker string, now time.Time) (Unit, bool) {
 	for len(c.queue) > 0 {
 		key := c.queue[0]
 		c.queue = c.queue[1:]
@@ -248,17 +372,16 @@ func (c *Coordinator) claim(worker string, rep *WorkerReport) (u Unit, ttl time.
 		r.claimedAt = now
 		c.workers[worker].Active = key
 		c.tel.claims.Inc()
-		return r.unit, c.leaseTTL(), true, false
+		return r.unit, true
 	}
-	c.tel.claimsEmpty.Inc()
-	return Unit{}, 0, false, false
+	return Unit{}, false
 }
 
 // heartbeat extends a worker's lease; reports ok=false when the lease is
 // gone (expired and requeued, completed elsewhere, or never held — a
 // lease granted by a coordinator that has since been restarted).
 func (c *Coordinator) heartbeat(worker, key string, rep *WorkerReport) (ttl time.Duration, ok bool) {
-	now := c.now()
+	now := c.clock.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.touchLocked(worker, now, rep)
@@ -282,7 +405,7 @@ var errLeaseGone = errors.New("sweepd: lease gone (unknown unit)")
 // delivers a usable, deterministic result); later identical completions
 // are acknowledged, differing ones refused.
 func (c *Coordinator) complete(worker, key string, result []byte, errmsg string) error {
-	now := c.now()
+	now := c.clock.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.touchLocked(worker, now, nil)
@@ -368,7 +491,8 @@ type WorkerStatus struct {
 	MeanUnitWallMs float64 `json:",omitempty"`
 	// Straggler: mean unit wall exceeds StragglerFactor x fleet median.
 	// Stale: not heard from in over a lease TTL (heartbeats run at
-	// TTL/3, idle polls far faster — silence that long means gone).
+	// TTL/3 and a parked claim is answered within TTL/3 — silence that
+	// long means gone).
 	Straggler bool `json:",omitempty"`
 	Stale     bool `json:",omitempty"`
 	// Report is the worker's last pushed self-telemetry snapshot.
@@ -390,7 +514,7 @@ type Status struct {
 // Status returns a consistent snapshot, expiring lapsed leases first so
 // the view never shows a lease the next claim would not honor.
 func (c *Coordinator) Status() Status {
-	now := c.now()
+	now := c.clock.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked(now)
@@ -468,7 +592,11 @@ type doneRequest struct {
 // Handler returns the coordinator's HTTP API, to be mounted under a
 // prefix (tinydir mounts it at /sweepd/):
 //
-//	POST /claim      {worker} -> 200 {key,payload,leaseMs} | 204 no work | 410 sweep over
+//	POST /claim      {worker} -> 200 {key,payload,leaseMs} | 204 no work within LeaseTTL/3 | 410 sweep over
+//
+// A claim with nothing pending is held open (see claim) rather than
+// answered at once, so workers need no poll interval: they re-claim as
+// soon as a claim returns.
 //	POST /heartbeat  {worker,key} -> 200 {leaseMs} | 410 lease gone
 //	POST /done       {worker,key,result,err} -> 204 | 409 conflicting duplicate | 410 unknown unit
 //	GET  /status     -> 200 Status JSON
@@ -479,7 +607,7 @@ func (c *Coordinator) Handler() http.Handler {
 		if !decodeJSON(w, r, &req) {
 			return
 		}
-		u, ttl, ok, over := c.claim(req.Worker, req.Report)
+		u, ttl, ok, over := c.claim(r.Context(), req.Worker, req.Report)
 		switch {
 		case over:
 			http.Error(w, "sweep complete", http.StatusGone)

@@ -27,13 +27,13 @@ func TestLeaseExpiryCompletionRace(t *testing.T) {
 	c := New()
 	c.LeaseTTL = 10 * time.Second
 	c.EnableMetrics(telemetry.NewRegistry())
-	cur := time.Unix(1000, 0)
-	c.now = func() time.Time { return cur }
+	clk := newClock()
+	c.clock = clk
 	expiries := func() uint64 { return c.tel.leaseExpiries.Value() }
 
 	mustClaim := func(want string) {
 		t.Helper()
-		u, _, ok, _ := c.claim("w", nil)
+		u, _, ok, _ := c.claim(bg, "w", nil)
 		if !ok || u.Key != want {
 			t.Fatalf("claim got (%q, %v), want %q", u.Key, ok, want)
 		}
@@ -44,14 +44,14 @@ func TestLeaseExpiryCompletionRace(t *testing.T) {
 	// uses), so an expiry scan in the same tick must not fire.
 	ch := submitWait(t, c, Unit{Key: "race0", Payload: nil})
 	mustClaim("race0")
-	cur = cur.Add(c.LeaseTTL) // now == leaseExp exactly
+	clk.Advance(c.LeaseTTL) // now == leaseExp exactly
 	if st := c.Status(); st.Leased != 1 {
 		t.Fatalf("lease expired at its own expiry instant: %+v", st)
 	}
 	if _, ok := c.heartbeat("w", "race0", nil); !ok {
 		t.Fatal("heartbeat refused at the expiry instant the expiry scan honors")
 	}
-	cur = cur.Add(c.LeaseTTL) // the heartbeat re-extended; land on the boundary again
+	clk.Advance(c.LeaseTTL) // the heartbeat re-extended; land on the boundary again
 	if err := c.complete("w", "race0", []byte("r0"), ""); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestLeaseExpiryCompletionRace(t *testing.T) {
 	// any expiry scan runs. First completion wins; no expiry counted.
 	ch = submitWait(t, c, Unit{Key: "race1", Payload: nil})
 	mustClaim("race1")
-	cur = cur.Add(c.LeaseTTL + time.Nanosecond)
+	clk.Advance(c.LeaseTTL + time.Nanosecond)
 	if err := c.complete("w", "race1", []byte("r1"), ""); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestLeaseExpiryCompletionRace(t *testing.T) {
 	// accepted exactly once (never double-counted, never refused).
 	ch = submitWait(t, c, Unit{Key: "race2", Payload: nil})
 	mustClaim("race2")
-	cur = cur.Add(c.LeaseTTL + time.Nanosecond)
+	clk.Advance(c.LeaseTTL + time.Nanosecond)
 	if st := c.Status(); st.Pending != 1 {
 		t.Fatalf("lapsed lease not requeued: %+v", st)
 	}
@@ -98,7 +98,7 @@ func TestLeaseExpiryCompletionRace(t *testing.T) {
 	}
 	// The stale queue entry must not serve the done unit again, and the
 	// scan that skips it must not count anything.
-	if _, _, ok, _ := c.claim("w2", nil); ok {
+	if _, _, ok, _ := c.claim(bg, "w2", nil); ok {
 		t.Fatal("stale queue entry served a completed unit")
 	}
 	if n := expiries(); n != 1 {
@@ -140,7 +140,7 @@ func TestHeartbeatGoroutineTeardown(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	w := &Worker{
-		Base: srv.URL, Name: "leaky", Poll: 5 * time.Millisecond,
+		Base: srv.URL, Name: "leaky",
 		HC: srv.Client(),
 		Run: func(key string, payload []byte) ([]byte, error) {
 			time.Sleep(100 * time.Millisecond)

@@ -13,6 +13,9 @@ import (
 	"time"
 )
 
+// bg is the context of direct claim calls that nothing cancels.
+var bg = context.Background()
+
 // startCoord serves a coordinator over httptest, as tinydir mounts it.
 func startCoord(t *testing.T, c *Coordinator) *httptest.Server {
 	t.Helper()
@@ -71,7 +74,6 @@ func TestExactlyOnceAcrossWorkers(t *testing.T) {
 		return &Worker{
 			Base: srv.URL,
 			Name: name,
-			Poll: 5 * time.Millisecond,
 			Run: func(key string, payload []byte) ([]byte, error) {
 				mu.Lock()
 				executed[key]++
@@ -160,7 +162,6 @@ func TestLeaseExpiryRequeue(t *testing.T) {
 	live := &Worker{
 		Base: srv.URL,
 		Name: "live",
-		Poll: 10 * time.Millisecond,
 		Run: func(key string, payload []byte) ([]byte, error) {
 			atomic.AddInt32(&runs, 1)
 			return []byte("ok"), nil
@@ -252,7 +253,7 @@ func TestWorkerFailureFailsUnit(t *testing.T) {
 	srv := startCoord(t, c)
 	done := submit(c, Unit{Key: "bad0", Payload: nil})
 	w := &Worker{
-		Base: srv.URL, Name: "w", Poll: 5 * time.Millisecond,
+		Base: srv.URL, Name: "w",
 		Run: func(key string, payload []byte) ([]byte, error) {
 			return nil, fmt.Errorf("simulated deadlock")
 		},
@@ -346,7 +347,7 @@ func TestHeartbeatExtendsLease(t *testing.T) {
 
 	var runs int32
 	w := &Worker{
-		Base: srv.URL, Name: "slow", Poll: 5 * time.Millisecond,
+		Base: srv.URL, Name: "slow",
 		Run: func(key string, payload []byte) ([]byte, error) {
 			atomic.AddInt32(&runs, 1)
 			time.Sleep(6 * c.LeaseTTL) // several TTLs of work
@@ -401,7 +402,7 @@ func TestDoneForUnknownUnitIsGone(t *testing.T) {
 	}
 
 	w := &Worker{
-		Base: srv.URL, Name: "w", Poll: 5 * time.Millisecond,
+		Base: srv.URL, Name: "w",
 		Run: func(key string, payload []byte) ([]byte, error) { return []byte("r"), nil },
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

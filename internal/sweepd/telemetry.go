@@ -51,7 +51,7 @@ func (c *Coordinator) EnableMetrics(reg *telemetry.Registry) {
 	}
 	c.tel = coordMetrics{
 		claims:        reg.Counter("sweepd_claims_total", "work-unit claims granted"),
-		claimsEmpty:   reg.Counter("sweepd_claims_empty_total", "claims answered with no work available"),
+		claimsEmpty:   reg.Counter("sweepd_claims_empty_total", "claims answered 204: held LeaseTTL/3 with no work available"),
 		heartbeats:    reg.Counter("sweepd_heartbeats_total", "lease heartbeats accepted"),
 		completions:   reg.Counter("sweepd_completions_total", "units completed successfully"),
 		dupIdentical:  reg.Counter("sweepd_duplicates_identical_total", "byte-identical duplicate completions acknowledged"),

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,12 +16,34 @@ import (
 	"tinydir/internal/telemetry"
 )
 
-// manualClock is a test seam for Coordinator.now.
-type manualClock struct{ t time.Time }
+// manualClock is a test seam for Coordinator.clock. Time moves only by
+// Advance, and After advances it by d at once: a claim parked on a
+// manual clock waits out its hold (or a lease) without any real wait.
+type manualClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
 
-func (m *manualClock) Now() time.Time          { return m.t }
-func (m *manualClock) Advance(d time.Duration) { m.t = m.t.Add(d) }
-func newClock() *manualClock                   { return &manualClock{t: time.Unix(1700000000, 0)} }
+func newClock() *manualClock { return &manualClock{t: time.Unix(1700000000, 0)} }
+
+func (m *manualClock) Now() time.Time {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.t
+}
+
+func (m *manualClock) Advance(d time.Duration) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.t = m.t.Add(d)
+}
+
+func (m *manualClock) After(d time.Duration) <-chan time.Time {
+	m.Advance(d)
+	ch := make(chan time.Time, 1)
+	ch <- m.Now()
+	return ch
+}
 
 // enqueue plants a pending unit directly (no blocking Do goroutine
 // needed when the test drives claim/complete itself).
@@ -37,7 +60,7 @@ func TestCoordinatorMetrics(t *testing.T) {
 	clk := newClock()
 	reg := telemetry.NewRegistry()
 	c := New()
-	c.now = clk.Now
+	c.clock = clk
 	c.LeaseTTL = 10 * time.Second
 	c.MaxExpiries = 2
 	c.EnableMetrics(reg)
@@ -46,7 +69,7 @@ func TestCoordinatorMetrics(t *testing.T) {
 	enqueue(c, "k2")
 
 	// k1: claim, heartbeat, complete after 500ms.
-	if _, _, ok, _ := c.claim("w1", nil); !ok {
+	if _, _, ok, _ := c.claim(bg, "w1", nil); !ok {
 		t.Fatal("claim k1")
 	}
 	clk.Advance(200 * time.Millisecond)
@@ -66,7 +89,7 @@ func TestCoordinatorMetrics(t *testing.T) {
 	}
 	// k2: claimed by w2, lease lapses twice -> terminal failure (MaxExpiries=2).
 	for i := 0; i < 2; i++ {
-		if u, _, ok, _ := c.claim("w2", nil); !ok || u.Key != "k2" {
+		if u, _, ok, _ := c.claim(bg, "w2", nil); !ok || u.Key != "k2" {
 			t.Fatalf("claim k2 round %d: ok=%v key=%q", i, ok, u.Key)
 		}
 		clk.Advance(11 * time.Second)
@@ -75,10 +98,10 @@ func TestCoordinatorMetrics(t *testing.T) {
 	// k3 arrives late; w3 claims it (leaving the queue empty), then one
 	// empty claim.
 	enqueue(c, "k3")
-	if u, _, ok, _ := c.claim("w3", nil); !ok || u.Key != "k3" {
+	if u, _, ok, _ := c.claim(bg, "w3", nil); !ok || u.Key != "k3" {
 		t.Fatalf("claim k3: ok=%v key=%q", ok, u.Key)
 	}
-	if _, _, ok, _ := c.claim("w3", nil); ok {
+	if _, _, ok, _ := c.claim(bg, "w3", nil); ok {
 		t.Fatal("claim on empty queue succeeded")
 	}
 
@@ -128,7 +151,7 @@ func TestCoordinatorMetrics(t *testing.T) {
 func TestStragglerAndStaleDetection(t *testing.T) {
 	clk := newClock()
 	c := New()
-	c.now = clk.Now
+	c.clock = clk
 	c.LeaseTTL = 5 * time.Second
 
 	walls := map[string]time.Duration{"fast": 100 * time.Millisecond, "mid": 120 * time.Millisecond, "slow": 900 * time.Millisecond}
@@ -138,7 +161,7 @@ func TestStragglerAndStaleDetection(t *testing.T) {
 			key := fmt.Sprintf("u%d", i)
 			i++
 			enqueue(c, key)
-			if u, _, ok, _ := c.claim(worker, nil); !ok || u.Key != key {
+			if u, _, ok, _ := c.claim(bg, worker, nil); !ok || u.Key != key {
 				t.Fatalf("%s claim %s", worker, key)
 			}
 			clk.Advance(wall)
@@ -181,9 +204,9 @@ func TestStragglerAndStaleDetection(t *testing.T) {
 func TestStragglerNeedsAFleet(t *testing.T) {
 	clk := newClock()
 	c := New()
-	c.now = clk.Now
+	c.clock = clk
 	enqueue(c, "k")
-	c.claim("only", nil)
+	c.claim(bg, "only", nil)
 	clk.Advance(10 * time.Second)
 	c.complete("only", "k", []byte("r"), "")
 	if st := c.Status(); st.Stragglers != 0 || st.Workers[0].Straggler {
@@ -210,7 +233,7 @@ func TestWorkerReportPropagation(t *testing.T) {
 	tel := NewWorkerTelemetry(nil)
 	tel.StoreStats = func() (uint64, uint64) { return 7, 3 }
 	w := &Worker{
-		Base: srv.URL, Name: "w-tel", Poll: 10 * time.Millisecond,
+		Base: srv.URL, Name: "w-tel",
 		Tel: tel,
 		Run: func(key string, payload []byte) ([]byte, error) { return []byte("res:" + key), nil },
 	}
@@ -260,7 +283,7 @@ func TestWorkerBackoffReconnect(t *testing.T) {
 
 	var logBuf bytes.Buffer
 	w := &Worker{
-		Base: srv.URL, Name: "w-retry", Poll: 5 * time.Millisecond, BackoffMax: 40 * time.Millisecond,
+		Base: srv.URL, Name: "w-retry", BackoffMax: 20 * time.Millisecond,
 		Logger: telemetry.NewLogger(&logBuf, telemetry.LevelInfo, true),
 		Run:    func(key string, payload []byte) ([]byte, error) { return []byte("ok"), nil },
 	}
@@ -312,7 +335,7 @@ func TestWorkerBackoffGivesUpAtMaxErrors(t *testing.T) {
 	}))
 	defer srv.Close()
 	w := &Worker{
-		Base: srv.URL, Name: "w-doomed", Poll: time.Millisecond, BackoffMax: 2 * time.Millisecond, MaxErrors: 3,
+		Base: srv.URL, Name: "w-doomed", BackoffMax: 2 * time.Millisecond, MaxErrors: 3,
 		Run: func(string, []byte) ([]byte, error) { return nil, nil },
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -322,11 +345,11 @@ func TestWorkerBackoffGivesUpAtMaxErrors(t *testing.T) {
 	}
 }
 
-// TestBackoffSchedule pins the retry curve: poll, doubled per failure,
-// capped at BackoffMax.
+// TestBackoffSchedule pins the retry curve: backoffBase, doubled per
+// failure, capped at BackoffMax.
 func TestBackoffSchedule(t *testing.T) {
-	w := &Worker{Poll: 100 * time.Millisecond, BackoffMax: 1 * time.Second}
-	want := []time.Duration{100, 200, 400, 800, 1000, 1000}
+	w := &Worker{BackoffMax: 3 * time.Second}
+	want := []time.Duration{500, 1000, 2000, 3000, 3000}
 	for i, ms := range want {
 		if got := w.backoff(i + 1); got != ms*time.Millisecond {
 			t.Errorf("backoff(%d) = %v, want %v", i+1, got, ms*time.Millisecond)
@@ -340,9 +363,9 @@ func TestBackoffSchedule(t *testing.T) {
 func TestCoordinatorOffAllocSteadyState(t *testing.T) {
 	clk := newClock()
 	c := New()
-	c.now = clk.Now
+	c.clock = clk
 	enqueue(c, "k")
-	c.claim("w", nil)
+	c.claim(bg, "w", nil)
 	allocs := testing.AllocsPerRun(500, func() {
 		if _, ok := c.heartbeat("w", "k", nil); !ok {
 			t.Fatal("lease lost")
@@ -368,7 +391,7 @@ func BenchmarkCoordinatorTelemetry(b *testing.B) {
 func benchClaimComplete(b *testing.B, withMetrics bool) {
 	clk := newClock()
 	c := New()
-	c.now = clk.Now
+	c.clock = clk
 	if withMetrics {
 		c.EnableMetrics(telemetry.NewRegistry())
 	}
@@ -376,7 +399,7 @@ func benchClaimComplete(b *testing.B, withMetrics bool) {
 	for i := 0; i < b.N; i++ {
 		key := fmt.Sprintf("k%d", i)
 		enqueue(c, key)
-		c.claim("w", nil)
+		c.claim(bg, "w", nil)
 		c.complete("w", key, nil, "")
 	}
 }

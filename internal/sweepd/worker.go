@@ -28,8 +28,6 @@ type Worker struct {
 	// are not retried); Run must catch panics itself if it wants them
 	// reported rather than crashing the worker.
 	Run func(key string, payload []byte) ([]byte, error)
-	// Poll is the idle re-claim interval (default 500ms).
-	Poll time.Duration
 	// MaxErrors bounds consecutive transport failures before Loop gives
 	// up (default 20) — a vanished coordinator should stop the worker,
 	// not spin it forever.
@@ -54,13 +52,6 @@ type Worker struct {
 	units uint64 // completed unit count (atomic)
 }
 
-func (w *Worker) poll() time.Duration {
-	if w.Poll > 0 {
-		return w.Poll
-	}
-	return 500 * time.Millisecond
-}
-
 func (w *Worker) maxErrors() int {
 	if w.MaxErrors > 0 {
 		return w.MaxErrors
@@ -75,10 +66,13 @@ func (w *Worker) backoffMax() time.Duration {
 	return 15 * time.Second
 }
 
-// backoff is the sleep before retry attempt n (1-based): the poll
-// interval doubled per consecutive failure, capped at BackoffMax.
+// backoffBase is the first retry's sleep after a transport failure.
+const backoffBase = 500 * time.Millisecond
+
+// backoff is the sleep before retry attempt n (1-based): backoffBase
+// doubled per consecutive failure, capped at BackoffMax.
 func (w *Worker) backoff(n int) time.Duration {
-	d := w.poll()
+	d := backoffBase
 	for i := 1; i < n; i++ {
 		d *= 2
 		if d >= w.backoffMax() {
@@ -120,7 +114,7 @@ func (w *Worker) Loop(ctx context.Context) error {
 		cl, status, err := w.claim(ctx)
 		if err != nil {
 			// Transient transport failure — the coordinator may just be
-			// restarting. Back off exponentially (poll interval doubled
+			// restarting. Back off exponentially (backoffBase doubled
 			// per consecutive failure, capped) rather than hammering it,
 			// and give up only after MaxErrors straight failures. A 410
 			// is not an error: sweep-over still sends the fleet home
@@ -151,10 +145,7 @@ func (w *Worker) Loop(ctx context.Context) error {
 			w.logf("worker %s: sweep complete, exiting", w.Name)
 			return nil
 		case http.StatusNoContent:
-			if !sleepCtx(ctx, w.poll()) {
-				return ctx.Err()
-			}
-			continue
+			continue // the claim was held TTL/3 with no work; ask again
 		}
 		w.process(ctx, cl)
 	}
@@ -263,8 +254,8 @@ func (w *Worker) heartbeatLoop(ctx context.Context, cl claimResponse) {
 	}
 }
 
-// claim asks for work. status is one of 200 (cl valid), 204 (no work
-// yet) or 410 (sweep over).
+// claim asks for work. status is one of 200 (cl valid), 204 (held
+// LeaseTTL/3 with no work) or 410 (sweep over).
 func (w *Worker) claim(ctx context.Context) (cl claimResponse, status int, err error) {
 	start := time.Now()
 	status, err = w.postStatus(ctx, "/claim", claimRequest{Worker: w.Name, Report: w.Tel.Report()}, &cl)
